@@ -62,7 +62,7 @@ bench-sweep:
 BENCH_FLAGS ?= -benchmem -benchtime=0.5s
 bench-net:
 	$(GO) test -run XXX -bench 'BenchmarkWireEncode|BenchmarkWireDecode|BenchmarkBatchRoundTrip' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/wire/
-	$(GO) test -run XXX -bench 'BenchmarkLinkThroughput|BenchmarkNodeDecideUnderLoad|BenchmarkDedupWindow' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/cluster/
+	$(GO) test -run XXX -bench 'BenchmarkLinkThroughput|BenchmarkNodeDecideUnderLoad|BenchmarkDedupWindow|BenchmarkFlushUnreachablePeer' $(BENCH_FLAGS) -count=$(BENCH_COUNT) ./internal/cluster/
 
 # Empirical validation of every figure panel plus the impossibility
 # constructions (quick sizes; raise -n/-runs to go deeper).

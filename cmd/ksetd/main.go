@@ -23,7 +23,8 @@
 //
 // With -metrics ADDR the node also serves HTTP: GET /metrics returns the
 // node's counters and latency histograms in the Prometheus text exposition
-// format, and GET /healthz returns 200 "ok" while the node is up.
+// format, GET /healthz returns 200 "ok" while the node is up, and
+// /debug/pprof/ serves Go's runtime profiles (CPU, heap, goroutines, ...).
 package main
 
 import (
@@ -34,6 +35,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -212,7 +214,8 @@ func run(args []string, logw io.Writer, stop <-chan struct{}, ready chan<- ready
 }
 
 // metricsMux serves the node's observability endpoints: the Prometheus text
-// exposition at /metrics and a liveness probe at /healthz.
+// exposition at /metrics, a liveness probe at /healthz, and the runtime
+// profiler at /debug/pprof/.
 func metricsMux(node *cluster.Node) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -225,6 +228,12 @@ func metricsMux(node *cluster.Node) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "ok")
 	})
+	// pprof.Index also serves every named profile (/debug/pprof/heap, ...).
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

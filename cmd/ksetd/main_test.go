@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -242,6 +243,24 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
+	}
+}
+
+// TestPprofEndpoint checks that the metrics server mounts the runtime
+// profiler: the index and a named profile answer 200.
+func TestPprofEndpoint(t *testing.T) {
+	node, err := cluster.NewNode(cluster.Config{ID: 0, N: 1, K: 1, T: 0, Peers: []string{"127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	srv := httptest.NewServer(metricsMux(node))
+	defer srv.Close()
+	if body := httpGet(t, srv.URL+"/debug/pprof/"); !strings.Contains(body, "goroutine") {
+		t.Errorf("/debug/pprof/ index does not list the goroutine profile:\n%s", body)
+	}
+	if body := httpGet(t, srv.URL+"/debug/pprof/goroutine?debug=1"); !strings.Contains(body, "goroutine profile:") {
+		t.Errorf("/debug/pprof/goroutine is not a goroutine profile:\n%s", body)
 	}
 }
 

@@ -3,7 +3,9 @@ package cluster
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
@@ -19,10 +21,10 @@ import (
 // injected faults. The inbound half (frames the peer sends us) arrives on
 // the connection the peer dials and is handled by Node.serveConn.
 //
-// Concurrency: the queue, ack list, and partition flag are guarded by mu and
-// touched by enqueuers (instance goroutines), the ack path (inbound reader
-// goroutines) and the writer. The connection and the fault rng belong to the
-// writer goroutine alone.
+// Concurrency: the queue, scan cursor, ack list, and partition flag are
+// guarded by mu and touched by enqueuers (instance goroutines), the ack path
+// (inbound reader goroutines) and the writer. The connection and the fault
+// rng belong to the writer goroutine alone.
 type link struct {
 	node *Node
 	peer types.ProcessID
@@ -34,6 +36,20 @@ type link struct {
 	acks    []uint64       // outgoing transport acks, fire-and-forget
 	down    bool           // partitioned: hold all traffic
 	closed  bool
+
+	// fresh and nextDue bound a flush's scan to the frames that need work.
+	// queue[fresh:] holds the frames no flush has examined yet; nextDue is
+	// the earliest link-clock reading at which a frame in queue[:fresh]
+	// becomes due (its retransmit deadline or the end of its injected
+	// delay). A flush before nextDue scans only queue[fresh:]; the first
+	// flush at or after it scans the whole queue and recomputes nextDue.
+	// An ack never moves nextDue, so it can only be early, which costs one
+	// spare full scan.
+	fresh   int
+	nextDue int64
+
+	// epoch anchors the link clock (see now); set at creation.
+	epoch time.Time
 
 	// ackScratch and sendScratch recycle flush's working slices: each round
 	// swaps the drained ack list against ackScratch and collects due frames
@@ -59,23 +75,24 @@ type link struct {
 	mBackoff      *obs.Histogram
 }
 
-// pendingFrame is one sequenced message awaiting acknowledgment. The message
-// is stored as the flat wire.BatchMsg union, so queueing and flushing move
-// plain structs with no per-message boxing.
+// pendingFrame is one sequenced message awaiting acknowledgment; its
+// sequence number is msg.Seq. The message is stored as the flat
+// wire.BatchMsg union and the stamps as link-clock readings (see link.now),
+// so the frame is a small pointer-free struct: queueing and flushing move
+// plain values, and the garbage collector never scans the queue.
 type pendingFrame struct {
-	seq uint64
 	msg wire.BatchMsg
-	// lastAttempt is the time of the last transmission attempt (zero:
-	// never attempted); retransmission is due when it is older than the
-	// retransmit interval.
-	lastAttempt time.Time
-	// notBefore holds the frame back until the given time (injected
-	// delay).
-	notBefore time.Time
-	// firstSent is the first time the frame was actually handed to the
-	// connection (zero: never transmitted); the transport ack round trip
-	// is measured from it.
-	firstSent time.Time
+	// lastAttempt is the link-clock reading of the last transmission
+	// attempt (zero: never attempted); retransmission is due when it is
+	// older than the retransmit interval.
+	lastAttempt int64
+	// notBefore holds the frame back until the given link-clock reading
+	// (injected delay; zero: not held).
+	notBefore int64
+	// firstSent is the link-clock reading at which the frame was first
+	// handed to a live connection (zero: never transmitted); the transport
+	// ack round trip is measured from it.
+	firstSent int64
 }
 
 func newLink(n *Node, peer types.ProcessID, addr string) *link {
@@ -85,6 +102,7 @@ func newLink(n *Node, peer types.ProcessID, addr string) *link {
 		peer:          peer,
 		addr:          addr,
 		wake:          make(chan struct{}, 1),
+		epoch:         time.Now(),
 		mDials:        n.reg.Counter("kset_link_dials_total" + label),
 		mDialFailures: n.reg.Counter("kset_link_dial_failures_total" + label),
 		mRetransmits:  n.reg.Counter("kset_link_retransmits_total" + label),
@@ -102,7 +120,7 @@ func (l *link) enqueue(bm wire.BatchMsg) {
 	}
 	l.nextSeq++
 	bm.Seq = l.nextSeq
-	l.queue = append(l.queue, pendingFrame{seq: bm.Seq, msg: bm})
+	l.queue = append(l.queue, pendingFrame{msg: bm})
 	l.mu.Unlock()
 	l.signal()
 }
@@ -140,21 +158,31 @@ func (l *link) ackBatch(seqs []uint64) {
 }
 
 func (l *link) ackLocked(seq uint64) {
-	for i := range l.queue {
-		if l.queue[i].seq == seq {
-			if first := l.queue[i].firstSent; !first.IsZero() {
-				l.node.stats.ackRTT.Observe(time.Since(first).Seconds())
-			}
-			// Acks overwhelmingly confirm the queue head in order; popping
-			// the front is O(1) and only an out-of-order ack pays the copy.
-			if i == 0 {
-				l.queue = l.queue[1:]
-			} else {
-				l.queue = append(l.queue[:i], l.queue[i+1:]...)
-			}
-			return
-		}
+	// enqueue appends ascending sequence numbers and removal keeps the
+	// order, so the queue is sorted by seq.
+	i := sort.Search(len(l.queue), func(i int) bool { return l.queue[i].msg.Seq >= seq })
+	if i == len(l.queue) || l.queue[i].msg.Seq != seq {
+		return // duplicate or stale ack
 	}
+	if first := l.queue[i].firstSent; first != 0 {
+		l.node.stats.ackRTT.Observe(time.Duration(l.now() - first).Seconds())
+	}
+	// Acks overwhelmingly confirm the queue head in order; popping the
+	// front is O(1) and only an out-of-order ack pays the copy.
+	if i == 0 {
+		l.queue = l.queue[1:]
+	} else {
+		l.queue = append(l.queue[:i], l.queue[i+1:]...)
+	}
+	if i < l.fresh {
+		l.fresh--
+	}
+}
+
+// now reads the link clock: monotonic nanoseconds since the link's epoch,
+// offset by one so that a reading is never the zero "never" stamp.
+func (l *link) now() int64 {
+	return int64(time.Since(l.epoch)) + 1
 }
 
 // setDown partitions or heals the link. While down, nothing is sent; queued
@@ -235,13 +263,25 @@ var encBufs = sync.Pool{New: func() any {
 // a thousand messages.
 const batchMsgsPerFrame = 1024
 
-// flush performs one round of work: drain pending acks and transmission-due
+// flush performs one round of work. It dials first: while the peer is
+// unreachable (a refused dial, or the backoff window after one) the round
+// does nothing, so queued frames and acks wait untouched for a connection
+// and an outage costs no fault rolls, stamps or retransmit counts. With a
+// connection up it drains pending acks and collects the transmission-due
 // frames under the lock (each attempt rolled through the fault injector),
-// then write them outside it — as coalesced batch frames with the acks
+// then writes them outside it — as coalesced batch frames with the acks
 // piggybacked when the peer speaks wire.VersionBatch, or as legacy
 // single-message frames otherwise.
 func (l *link) flush() {
-	now := time.Now()
+	if l.conn == nil {
+		l.mu.Lock()
+		idle := l.down || (len(l.acks) == 0 && len(l.queue) == 0)
+		l.mu.Unlock()
+		if idle || !l.ensureConn() {
+			return
+		}
+	}
+	now := l.now()
 	l.mu.Lock()
 	if l.down {
 		l.mu.Unlock()
@@ -253,14 +293,51 @@ func (l *link) flush() {
 	acks := l.acks
 	l.acks = l.ackScratch[:0]
 	l.ackScratch = acks
-	sends := l.sendScratch[:0]
-	for i := range l.queue {
+	sends := l.collectDue(now, l.sendScratch[:0])
+	l.sendScratch = sends
+	l.mu.Unlock()
+
+	if len(acks) > 0 || len(sends) > 0 {
+		if l.peerBatches() {
+			l.flushBatch(acks, sends)
+		} else {
+			l.flushV1(acks, sends)
+		}
+	}
+	// Buffered bytes include the Hello of a connection dialed this round
+	// even when nothing else was due. bw and conn are set and cleared
+	// together, so a buffer means a connection.
+	if l.bw != nil && l.bw.Buffered() > 0 {
+		if err := l.conn.SetWriteDeadline(time.Now().Add(l.node.cfg.WriteTimeout)); err != nil {
+			l.connFailed()
+			return
+		}
+		if err := l.bw.Flush(); err != nil {
+			l.connFailed()
+		}
+	}
+}
+
+// collectDue appends to sends every queued frame that is due for
+// transmission at link-clock reading now, rolling each attempt through the
+// fault injector and stamping it. Before nextDue only the frames past the
+// fresh cursor can be due, so only they are examined; otherwise the whole
+// queue is, and nextDue is recomputed. Called with l.mu held.
+func (l *link) collectDue(now int64, sends []wire.BatchMsg) []wire.BatchMsg {
+	retransmit := int64(l.node.cfg.Retransmit)
+	start, next := l.fresh, l.nextDue
+	if now >= l.nextDue {
+		start, next = 0, math.MaxInt64
+	}
+	for i := start; i < len(l.queue); i++ {
 		p := &l.queue[i]
-		if now.Before(p.notBefore) {
+		if now < p.notBefore {
+			next = min(next, p.notBefore)
 			continue
 		}
-		isNew := p.lastAttempt.IsZero()
-		if !isNew && now.Sub(p.lastAttempt) < l.node.cfg.Retransmit {
+		isNew := p.lastAttempt == 0
+		if !isNew && now-p.lastAttempt < retransmit {
+			next = min(next, p.lastAttempt+retransmit)
 			continue
 		}
 		if !isNew {
@@ -270,60 +347,31 @@ func (l *link) flush() {
 		switch l.node.cfg.Faults.roll(l.rng) {
 		case actDrop:
 			l.node.stats.dropsInjected.Add(1)
-			p.lastAttempt = now
 		case actDelay:
-			// Only dilate frames that have never been sent; a retransmission
-			// is already late.
-			if isNew {
+			// Only dilate frames that have never been sent, and only once: a
+			// retransmission is already late, and a frame whose delay has
+			// run out goes now (re-rolling it could hold it back forever).
+			if isNew && p.notBefore == 0 {
 				l.node.stats.delaysInjected.Add(1)
-				p.notBefore = now.Add(l.node.cfg.Faults.delay(l.rng))
+				p.notBefore = now + int64(l.node.cfg.Faults.delay(l.rng))
+				next = min(next, p.notBefore)
 				continue
 			}
-			p.lastAttempt = now
 			l.markSent(p, now)
 			sends = append(sends, p.msg)
 		case actDup:
 			l.node.stats.dupsInjected.Add(1)
-			p.lastAttempt = now
 			l.markSent(p, now)
 			sends = append(sends, p.msg, p.msg)
 		default:
-			p.lastAttempt = now
 			l.markSent(p, now)
 			sends = append(sends, p.msg)
 		}
+		p.lastAttempt = now
+		next = min(next, now+retransmit)
 	}
-	l.sendScratch = sends
-	l.mu.Unlock()
-
-	if len(acks) == 0 && len(sends) == 0 {
-		return
-	}
-	// The acks were popped from the queue above; if the connection cannot be
-	// established (dial failure, backoff window) they must go back, or they
-	// are silently lost and the peer retransmits until the next inbound frame
-	// happens to trigger a re-ack. Sequenced frames survive in l.queue either
-	// way — acks are the only fire-and-forget payload here.
-	if !l.ensureConn() {
-		l.requeueAcks(acks)
-		return
-	}
-	if l.peerBatches() {
-		l.flushBatch(acks, sends)
-	} else {
-		l.flushV1(acks, sends)
-	}
-	if l.bw != nil {
-		if l.conn != nil {
-			if err := l.conn.SetWriteDeadline(time.Now().Add(l.node.cfg.WriteTimeout)); err != nil {
-				l.connFailed()
-				return
-			}
-		}
-		if err := l.bw.Flush(); err != nil {
-			l.connFailed()
-		}
-	}
+	l.fresh, l.nextDue = len(l.queue), next
+	return sends
 }
 
 // peerBatches reports whether this link may send batch frames: both this
@@ -396,9 +444,11 @@ func (l *link) flushV1(acks []uint64, sends []wire.BatchMsg) {
 }
 
 // markSent stamps the first real transmission time (for the ack round-trip
-// histogram). Called under l.mu.
-func (l *link) markSent(p *pendingFrame, now time.Time) {
-	if p.firstSent.IsZero() {
+// histogram). flush collects frames only with a connection up, so the stamp
+// is the moment the frame went to a live connection, not the moment it was
+// first examined. Called under l.mu.
+func (l *link) markSent(p *pendingFrame, now int64) {
+	if p.firstSent == 0 {
 		p.firstSent = now
 	}
 }

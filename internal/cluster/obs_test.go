@@ -44,9 +44,10 @@ func TestConfigValidation(t *testing.T) {
 // TestFlushRequeuesAcksOnDialFailure is the regression test for the ack-loss
 // bug: flush() popped pending acks off the queue before attempting to dial,
 // so a dial failure (or backoff window) silently discarded them and the peer
-// retransmitted until some later inbound frame triggered a fresh ack. The fix
-// re-queues them; this drives one link by hand through dial failure, backoff,
-// and recovery, counting retransmits along the way.
+// retransmitted until some later inbound frame triggered a fresh ack. flush
+// now dials before it drains anything, so the acks stay held; this drives
+// one link by hand through dial failure, backoff, and recovery, and checks
+// that a round in the backoff window leaves the link untouched.
 func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 	// Bind-then-close yields an address that refuses connections now but can
 	// be re-bound later for the recovery phase.
@@ -91,19 +92,26 @@ func TestFlushRequeuesAcksOnDialFailure(t *testing.T) {
 		t.Errorf("frames sent = %d, want 0", got)
 	}
 
-	// A second round past the retransmit interval counts a retransmission
-	// attempt and still must not lose the ack (the dial is now in backoff).
+	// A second round past the retransmit interval falls in the dial's
+	// backoff window: nothing went to a connection, so it counts no
+	// retransmission, leaves the queued frame unexamined, and still holds
+	// the ack.
 	time.Sleep(10 * time.Millisecond)
 	l.flush()
-	if got := n.stats.retransmits.Value(); got < 1 {
-		t.Errorf("retransmits = %d, want >= 1", got)
+	if got := n.stats.retransmits.Value(); got != 0 {
+		t.Errorf("retransmits = %d, want 0", got)
 	}
-	if got := l.mRetransmits.Value(); got < 1 {
-		t.Errorf("per-peer retransmits = %d, want >= 1", got)
+	if got := l.mRetransmits.Value(); got != 0 {
+		t.Errorf("per-peer retransmits = %d, want 0", got)
 	}
 	l.mu.Lock()
 	acks = append([]uint64(nil), l.acks...)
+	queue, fresh := append([]pendingFrame(nil), l.queue...), l.fresh
 	l.mu.Unlock()
+	if len(queue) != 1 || fresh != 0 || queue[0].msg.Seq != 1 ||
+		queue[0].lastAttempt != 0 || queue[0].notBefore != 0 || queue[0].firstSent != 0 {
+		t.Errorf("after backoff round: queue = %+v (fresh %d), want the one frame unexamined", queue, fresh)
+	}
 	if len(acks) != 1 || acks[0] != 7 {
 		t.Fatalf("after backoff round: acks = %v, want [7]", acks)
 	}
